@@ -41,4 +41,4 @@ pub use components::{
 pub use digraph::{DiGraph, GraphBuilder};
 pub use par_unionfind::{parallel_wcc, EpochUnionFind, ParBatchUnion, ParWccSummary};
 pub use removal::{RemovalSweep, SweepPoint};
-pub use unionfind::{UnionFind, WeightedUnionFind};
+pub use unionfind::{Merge, UnionFind, WeightedUnionFind};

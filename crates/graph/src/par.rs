@@ -31,7 +31,8 @@ pub fn set_thread_override(threads: Option<usize>) {
 ///
 /// `b` runs on a spawned scoped thread while `a` runs on the caller's
 /// thread, so the call adds at most one thread of overhead and never
-/// deadlocks under nesting.
+/// deadlocks under nesting. With a [`thread_budget`] of 1 no thread is
+/// spawned: `a` and then `b` run on the caller's thread.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -39,6 +40,10 @@ where
     RA: Send,
     RB: Send,
 {
+    if thread_budget() == 1 {
+        let ra = a();
+        return (ra, b());
+    }
     std::thread::scope(|s| {
         let hb = s.spawn(b);
         let ra = a();
@@ -231,13 +236,40 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Serialises the tests that set the process-wide override; each
+    /// restores the default before releasing it.
+    static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn thread_override_round_trips() {
-        // No other test in this binary touches the override, and this test
-        // restores the default before returning.
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_thread_override(Some(3));
         assert_eq!(thread_budget(), 3);
         set_thread_override(None);
         assert!(thread_budget() >= 1);
+    }
+
+    #[test]
+    fn join_stays_on_caller_thread_with_one_thread() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let caller = std::thread::current().id();
+        let step = AtomicUsize::new(0);
+        let on = || {
+            (
+                std::thread::current().id(),
+                step.fetch_add(1, Ordering::SeqCst),
+            )
+        };
+        set_thread_override(Some(1));
+        let (a, b) = join(on, on);
+        set_thread_override(Some(2));
+        let (_, (spawned, _)) = join(|| (), on);
+        set_thread_override(None);
+        assert_eq!(
+            (a, b),
+            ((caller, 0), (caller, 1)),
+            "a, then b, on the caller"
+        );
+        assert_ne!(spawned, caller);
     }
 }

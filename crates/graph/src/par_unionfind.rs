@@ -350,12 +350,12 @@ pub fn parallel_wcc(
         EdgeScan::OutOnly,
         &mut uf,
         |uf, a, b| {
-            if let Some((root, merged_w)) = uf.union(a, b) {
+            if let Some(m) = uf.union(a, b) {
                 merges += 1;
                 if uf.is_weighted() {
-                    largest_weight = largest_weight.max(merged_w);
+                    largest_weight = largest_weight.max(m.weight);
                 }
-                largest = largest.max(uf.size_of(root));
+                largest = largest.max(m.size);
             }
         },
     );

@@ -22,7 +22,7 @@ use crate::par;
 use crate::par_unionfind::{EdgeScan, ParBatchUnion};
 use crate::unionfind::WeightedUnionFind;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// One evaluation point of a removal sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,13 +71,33 @@ fn union_alive(
     max_size: &mut u32,
     max_weight: &mut f64,
 ) {
-    if let Some((root, merged_w)) = uf.union(a, b) {
+    if let Some(m) = uf.union(a, b) {
         *merges += 1;
         if uf.is_weighted() {
-            *max_weight = max_weight.max(merged_w);
+            *max_weight = max_weight.max(m.weight);
         }
-        *max_size = (*max_size).max(uf.size_of(root));
+        *max_size = (*max_size).max(m.size);
     }
+}
+
+/// Leave in `cands` exactly the `k` victims, in the same order, that
+/// `cands.shuffle(rng)` followed by `cands.truncate(k)` would, drawing the
+/// same values from `rng` in the same order.
+///
+/// The shuffle is Fisher–Yates from the back. A swap at `i ≥ k` parks an
+/// element at a position that is never read again, so only its store into
+/// `j` is kept; the swaps below `k` run as written.
+fn shuffle_prefix<R: Rng>(cands: &mut Vec<u32>, k: usize, rng: &mut R) {
+    assert!(k <= cands.len(), "k exceeds the candidate count");
+    for i in (k.max(1)..cands.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        cands[j] = cands[i];
+    }
+    for i in (1..k).rev() {
+        let j = rng.gen_range(0..=i);
+        cands.swap(i, j);
+    }
+    cands.truncate(k);
 }
 
 /// Configurable removal-sweep runner over a borrowed graph.
@@ -248,8 +268,12 @@ impl<'g> RemovalSweep<'g> {
 
         // ---- phase 1: removal schedule via incremental degrees ----------
         // With every node alive, per-node total degree equals the edge-scan
-        // count the naive implementation starts from.
-        let mut deg: Vec<u32> = (0..n as u32).map(|v| self.g.degree(v)).collect();
+        // count the naive implementation starts from. The random ranking
+        // never reads degrees, so its schedule does not touch the graph.
+        let mut deg: Vec<u32> = match rank {
+            RankBy::DegreeIterative => (0..n as u32).map(|v| self.g.degree(v)).collect(),
+            RankBy::Random { .. } => Vec::new(),
+        };
         // Survivor ids, ascending, maintained incrementally: `retain`
         // after each round keeps exactly the nodes an `(0..n).filter`
         // rescan would produce (same order, same content), but costs
@@ -289,12 +313,7 @@ impl<'g> RemovalSweep<'g> {
                         cands.truncate(k);
                     }
                 }
-                RankBy::Random { .. } => {
-                    // Shuffle the full survivor list (not just a k-prefix)
-                    // so the RNG stream matches the naive implementation.
-                    cands.shuffle(&mut rng);
-                    cands.truncate(k);
-                }
+                RankBy::Random { .. } => shuffle_prefix(&mut cands, k, &mut rng),
             }
             for &v in &cands {
                 alive[v as usize] = false;
@@ -302,15 +321,17 @@ impl<'g> RemovalSweep<'g> {
             // Decrement surviving neighbours once per incident edge. Edges
             // between two victims touch no survivor and are skipped by the
             // alive check, matching the naive both-endpoints-alive count.
-            for &v in &cands {
-                for &w in self.g.out_neighbors(v) {
-                    if alive[w as usize] {
-                        deg[w as usize] -= 1;
+            if rank == RankBy::DegreeIterative {
+                for &v in &cands {
+                    for &w in self.g.out_neighbors(v) {
+                        if alive[w as usize] {
+                            deg[w as usize] -= 1;
+                        }
                     }
-                }
-                for &w in self.g.in_neighbors(v) {
-                    if alive[w as usize] {
-                        deg[w as usize] -= 1;
+                    for &w in self.g.in_neighbors(v) {
+                        if alive[w as usize] {
+                            deg[w as usize] -= 1;
+                        }
                     }
                 }
             }
@@ -831,8 +852,48 @@ mod tests {
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// Victims and the next RNG output after `shuffle_prefix`, and after
+    /// the vendored shuffle followed by `truncate(k)`.
+    fn both_schedules(len: usize, k: usize, seed: u64) -> ((Vec<u32>, u64), (Vec<u32>, u64)) {
+        let mut fast_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut slow_rng = fast_rng.clone();
+        let mut fast: Vec<u32> = (0..len as u32).map(|v| v * 3 + 1).collect();
+        let mut slow = fast.clone();
+        shuffle_prefix(&mut fast, k, &mut fast_rng);
+        slow.shuffle(&mut slow_rng);
+        slow.truncate(k);
+        ((fast, fast_rng.next_u64()), (slow, slow_rng.next_u64()))
+    }
+
+    #[test]
+    fn shuffle_prefix_matches_shuffle_on_every_small_case() {
+        for len in 1..=9 {
+            for k in 0..=len {
+                for seed in 0..4 {
+                    let (fast, slow) = both_schedules(len, k, seed);
+                    assert_eq!(fast, slow, "len {len} k {k} seed {seed}");
+                }
+            }
+        }
+    }
 
     proptest! {
+        /// The random schedule removes the same victims in the same order
+        /// as shuffle + truncate and leaves the RNG in the same state.
+        #[test]
+        fn shuffle_prefix_matches_shuffle_truncate(
+            len in 1usize..400,
+            k_raw in 0usize..400,
+            whole in 0u8..5,
+            seed in 0u64..u64::MAX
+        ) {
+            let k = if whole == 0 { len } else { k_raw % (len + 1) };
+            let (fast, slow) = both_schedules(len, k, seed);
+            prop_assert_eq!(fast, slow, "len {} k {}", len, k);
+        }
+
         /// The fast reverse sweep agrees with direct per-checkpoint masking.
         #[test]
         fn reverse_equals_direct(

@@ -1,31 +1,46 @@
-//! Disjoint-set union with path compression and union by size, plus a
+//! Disjoint-set union with path halving and union by size, plus a
 //! weight-carrying variant used by the reverse removal sweeps.
 
 /// Union-find over `0..n`.
+///
+/// Parent links and set sizes share one `i32` per node: a non-negative
+/// entry is the parent's index, a negative entry marks a root and holds
+/// minus its set's size. The larger set's root wins a merge; on a tie the
+/// root of the first argument wins.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
+    parent: Vec<i32>,
     components: usize,
+}
+
+/// The result of a merge that joined two distinct sets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Merge {
+    /// Root of the merged set.
+    pub root: u32,
+    /// Node count of the merged set.
+    pub size: u32,
+    /// Total weight of the merged set (0 when unweighted).
+    pub weight: f64,
 }
 
 impl UnionFind {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n as u32).collect(),
-            size: vec![1; n],
-            components: n,
-        }
+        let mut uf = Self::default();
+        uf.reset(n);
+        uf
     }
 
-    /// Reinitialise to `n` singleton sets, reusing the existing buffers
+    /// Reinitialise to `n` singleton sets, reusing the existing buffer
     /// (no allocation once grown to `n`).
     pub fn reset(&mut self, n: usize) {
+        assert!(
+            i32::try_from(n).is_ok(),
+            "union-find holds at most i32::MAX nodes"
+        );
         self.parent.clear();
-        self.parent.extend(0..n as u32);
-        self.size.clear();
-        self.size.resize(n, 1);
+        self.parent.resize(n, -1);
         self.components = n;
     }
 
@@ -41,12 +56,18 @@ impl UnionFind {
 
     /// Representative of `x`'s set (with path halving).
     pub fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
+        loop {
+            let p = self.parent[x as usize];
+            if p < 0 {
+                return x;
+            }
+            let gp = self.parent[p as usize];
+            if gp < 0 {
+                return p as u32;
+            }
             self.parent[x as usize] = gp;
-            x = gp;
+            x = gp as u32;
         }
-        x
     }
 
     /// Representative of `x`'s set **without** path compression — usable
@@ -56,25 +77,33 @@ impl UnionFind {
     /// near-constant in practice because every mutating operation halves
     /// paths as it goes.
     pub fn find_root(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
+        while self.parent[x as usize] >= 0 {
+            x = self.parent[x as usize] as u32;
         }
         x
     }
 
-    /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    /// Find both roots once and link them. Returns `(root, absorbed root,
+    /// merged size)` when the sets were distinct.
+    fn link(&mut self, a: u32, b: u32) -> Option<(u32, u32, u32)> {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return false;
+            return None;
         }
-        if self.size[ra as usize] < self.size[rb as usize] {
+        // Roots hold `-size`, so the larger set has the smaller entry.
+        if self.parent[ra as usize] > self.parent[rb as usize] {
             std::mem::swap(&mut ra, &mut rb);
         }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
+        let merged = self.parent[ra as usize] + self.parent[rb as usize];
+        self.parent[ra as usize] = merged;
+        self.parent[rb as usize] = ra as i32;
         self.components -= 1;
-        true
+        Some((ra, rb, merged.unsigned_abs()))
+    }
+
+    /// Merge the sets of `a` and `b`; returns `true` if they were distinct.
+    pub fn union(&mut self, a: u32, b: u32) -> bool {
+        self.link(a, b).is_some()
     }
 
     /// Are `a` and `b` in the same set?
@@ -85,7 +114,7 @@ impl UnionFind {
     /// Size of the set containing `x`.
     pub fn size_of(&mut self, x: u32) -> u32 {
         let r = self.find(x);
-        self.size[r as usize]
+        self.parent[r as usize].unsigned_abs()
     }
 
     /// Total number of disjoint sets.
@@ -94,15 +123,13 @@ impl UnionFind {
     }
 
     /// Size of the largest set (0 when empty).
-    pub fn largest(&mut self) -> u32 {
-        let n = self.len() as u32;
-        let mut best = 0;
-        for x in 0..n {
-            if self.find(x) == x {
-                best = best.max(self.size[x as usize]);
-            }
-        }
-        best
+    pub fn largest(&self) -> u32 {
+        self.parent
+            .iter()
+            .filter(|&&p| p < 0)
+            .map(|p| p.unsigned_abs())
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -162,25 +189,18 @@ impl WeightedUnionFind {
         self.uf.find_root(x)
     }
 
-    /// Merge the sets of `a` and `b`. Returns `Some((root, merged_weight))`
-    /// when they were distinct (`merged_weight` is 0 when unweighted).
-    pub fn union(&mut self, a: u32, b: u32) -> Option<(u32, f64)> {
-        let ra = self.uf.find(a);
-        let rb = self.uf.find(b);
-        if ra == rb {
-            return None;
-        }
-        let merged = if self.weight.is_empty() {
+    /// Merge the sets of `a` and `b`. Returns the merged set's root, size
+    /// and weight when they were distinct.
+    pub fn union(&mut self, a: u32, b: u32) -> Option<Merge> {
+        let (root, absorbed, size) = self.uf.link(a, b)?;
+        let weight = if self.weight.is_empty() {
             0.0
         } else {
-            self.weight[ra as usize] + self.weight[rb as usize]
+            let w = self.weight[root as usize] + self.weight[absorbed as usize];
+            self.weight[root as usize] = w;
+            w
         };
-        self.uf.union(a, b);
-        let root = self.uf.find(a);
-        if !self.weight.is_empty() {
-            self.weight[root as usize] = merged;
-        }
-        Some((root, merged))
+        Some(Merge { root, size, weight })
     }
 
     /// Total weight of the set containing `x` (0 when unweighted).
@@ -211,15 +231,15 @@ mod tests {
     fn weighted_union_accumulates() {
         let mut uf = WeightedUnionFind::new(&[1.0, 2.0, 4.0, 8.0]);
         assert!(uf.is_weighted());
-        let (_, w) = uf.union(0, 1).unwrap();
-        assert_eq!(w, 3.0);
+        let m = uf.union(0, 1).unwrap();
+        assert_eq!((m.size, m.weight), (2, 3.0));
         assert_eq!(uf.weight_of(1), 3.0);
         assert!(uf.union(1, 0).is_none());
-        let (root, w) = uf.union(2, 3).unwrap();
-        assert_eq!(w, 12.0);
-        assert_eq!(uf.weight_of(root), 12.0);
-        let (_, w) = uf.union(0, 3).unwrap();
-        assert_eq!(w, 15.0);
+        let m = uf.union(2, 3).unwrap();
+        assert_eq!(m.weight, 12.0);
+        assert_eq!(uf.weight_of(m.root), 12.0);
+        let m = uf.union(0, 3).unwrap();
+        assert_eq!((m.size, m.weight), (4, 15.0));
         assert_eq!(uf.size_of(2), 4);
         assert_eq!(uf.component_count(), 1);
     }
@@ -228,8 +248,8 @@ mod tests {
     fn unweighted_variant_reports_zero_weight() {
         let mut uf = WeightedUnionFind::unweighted(3);
         assert!(!uf.is_weighted());
-        let (_, w) = uf.union(0, 2).unwrap();
-        assert_eq!(w, 0.0);
+        let m = uf.union(0, 2).unwrap();
+        assert_eq!((m.size, m.weight), (2, 0.0));
         assert_eq!(uf.weight_of(0), 0.0);
         assert_eq!(uf.size_of(0), 2);
         assert_eq!(uf.find(0), uf.find(2));
@@ -282,7 +302,7 @@ mod tests {
 
     #[test]
     fn empty_structure() {
-        let mut uf = UnionFind::new(0);
+        let uf = UnionFind::new(0);
         assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
         assert_eq!(uf.largest(), 0);
@@ -294,7 +314,91 @@ mod prop_tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Two-array union-find (separate parent and size vectors, path
+    /// halving, larger set wins, first argument's root wins a tie): the
+    /// layout [`UnionFind`] packs into one array.
+    struct TwoArrayUnionFind {
+        parent: Vec<u32>,
+        size: Vec<u32>,
+    }
+
+    impl TwoArrayUnionFind {
+        fn new(n: usize) -> Self {
+            Self {
+                parent: (0..n as u32).collect(),
+                size: vec![1; n],
+            }
+        }
+
+        fn find(&mut self, mut x: u32) -> u32 {
+            while self.parent[x as usize] != x {
+                let gp = self.parent[self.parent[x as usize] as usize];
+                self.parent[x as usize] = gp;
+                x = gp;
+            }
+            x
+        }
+
+        fn union(&mut self, a: u32, b: u32) -> bool {
+            let (mut ra, mut rb) = (self.find(a), self.find(b));
+            if ra == rb {
+                return false;
+            }
+            if self.size[ra as usize] < self.size[rb as usize] {
+                std::mem::swap(&mut ra, &mut rb);
+            }
+            self.parent[rb as usize] = ra;
+            self.size[ra as usize] += self.size[rb as usize];
+            true
+        }
+    }
+
     proptest! {
+        /// The packed layout builds the same forest as the two-array
+        /// reference, entry for entry, after every union; merges report
+        /// the reference's root and size.
+        #[test]
+        fn packed_equals_two_array_reference(
+            n in 1u32..60,
+            pairs in proptest::collection::vec((0u32..60, 0u32..60), 0..150),
+            probes in proptest::collection::vec(0u32..60, 0..20)
+        ) {
+            let mut reference = TwoArrayUnionFind::new(n as usize);
+            let mut packed = UnionFind::new(n as usize);
+            let mut weighted = WeightedUnionFind::unweighted(n as usize);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                let (a, b) = (a % n, b % n);
+                let merged = reference.union(a, b);
+                prop_assert_eq!(packed.union(a, b), merged);
+                let m = weighted.union(a, b);
+                prop_assert_eq!(m.is_some(), merged);
+                if let Some(m) = m {
+                    let r = packed.find_root(a);
+                    prop_assert_eq!(m.root, r);
+                    prop_assert_eq!(m.size, reference.size[r as usize]);
+                }
+                // Interleave path-halving finds so deeper paths get
+                // compressed mid-sequence in both forests.
+                if let Some(&x) = probes.get(i) {
+                    prop_assert_eq!(packed.find(x % n), reference.find(x % n));
+                    weighted.find(x % n);
+                }
+                for x in 0..n as usize {
+                    let (p, q) = (reference.parent[x], packed.parent[x]);
+                    if p == x as u32 {
+                        prop_assert_eq!(q, -(reference.size[x] as i32), "root {}", x);
+                    } else {
+                        prop_assert_eq!(q, p as i32, "node {}", x);
+                    }
+                    prop_assert_eq!(weighted.uf.parent[x], q, "weighted node {}", x);
+                }
+            }
+            for x in 0..n {
+                let r = reference.find(x);
+                prop_assert_eq!(packed.size_of(x), reference.size[r as usize]);
+            }
+        }
+
         /// component_count + merges == n, and find is idempotent.
         #[test]
         fn count_invariant(edges in proptest::collection::vec((0u32..50, 0u32..50), 0..100)) {

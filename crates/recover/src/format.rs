@@ -35,7 +35,9 @@
 //! ```
 //!
 //! Key order is preserved, so encode(decode(bytes)) == bytes and the
-//! format inherits the repo's bit-identity discipline.
+//! format inherits the repo's bit-identity discipline. Arrays and objects
+//! nest at most [`MAX_DEPTH`] levels deep; a deeper payload is
+//! [`FrameError::Malformed`], so a hostile frame cannot exhaust the stack.
 
 use serde::{Map, Number, Value};
 
@@ -44,6 +46,9 @@ pub const FORMAT_VERSION: u16 = 1;
 
 /// Frame magic: "Fediscope SNaPshot".
 pub const MAGIC: [u8; 4] = *b"FSNP";
+
+/// Deepest nesting of arrays and objects [`decode_value`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -206,8 +211,17 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, FrameError> {
 
 /// Decode one value starting at `*pos`, advancing it.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
+    decode_nested(buf, pos, 0)
+}
+
+/// [`decode_value`] for a value whose enclosing arrays and objects number
+/// `depth`.
+fn decode_nested(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, FrameError> {
     let &tag = buf.get(*pos).ok_or(FrameError::Malformed("tag past end"))?;
     *pos += 1;
+    if matches!(tag, TAG_ARR | TAG_OBJ) && depth == MAX_DEPTH {
+        return Err(FrameError::Malformed("nesting too deep"));
+    }
     match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
@@ -231,7 +245,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
             // cap pre-allocation: a corrupt count must not OOM
             let mut items = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                items.push(decode_value(buf, pos)?);
+                items.push(decode_nested(buf, pos, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
@@ -244,7 +258,7 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, FrameError> {
             let mut map = Map::new();
             for _ in 0..count {
                 let key = get_str(buf, pos)?;
-                let val = decode_value(buf, pos)?;
+                let val = decode_nested(buf, pos, depth + 1)?;
                 map.insert(key, val);
             }
             Ok(Value::Object(map))
@@ -434,6 +448,50 @@ mod tests {
             encode_value(&back, &mut b);
             assert_eq!(a, b);
         }
+    }
+
+    /// A well-formed frame around a hand-built payload.
+    fn frame_with_payload(payload: &[u8]) -> Vec<u8> {
+        let mut out = encode_frame("t", 1, 0, &Value::Null);
+        // Drop the checksum and the one-byte null payload.
+        out.truncate(out.len() - 9);
+        let at = out.len();
+        out[at - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// `depth` arrays of one element each around a null.
+    fn nested_arrays(depth: usize) -> Vec<u8> {
+        let mut payload = [TAG_ARR, 1].repeat(depth);
+        payload.push(TAG_NULL);
+        payload
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        assert!(decode_frame(&frame_with_payload(&nested_arrays(MAX_DEPTH))).is_ok());
+        assert!(matches!(
+            decode_frame(&frame_with_payload(&nested_arrays(MAX_DEPTH + 1))),
+            Err(FrameError::Malformed(_))
+        ));
+        let mut objects = [TAG_OBJ, 1, TAG_STR, 1, b'k'].repeat(MAX_DEPTH + 1);
+        objects.push(TAG_NULL);
+        assert!(matches!(
+            decode_frame(&frame_with_payload(&objects)),
+            Err(FrameError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn depth_bomb_is_malformed_not_an_abort() {
+        let frame = frame_with_payload(&nested_arrays(100_000));
+        assert!(matches!(
+            decode_frame(&frame),
+            Err(FrameError::Malformed(_))
+        ));
     }
 
     #[test]
